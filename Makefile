@@ -90,13 +90,17 @@ cluster-smoke:
 # server-smoke is the process-level multi-tenant check: it boots one
 # sssjd with /metrics enabled, creates 3 sessions with different
 # thresholds and join modes, streams a deterministic workload through
-# each, scrapes the Prometheus endpoint, live-migrates one session to a
-# second daemon mid-stream, and fails unless every session's match set
-# is bit-identical to a dedicated single-tenant daemon's. Runs in CI's
-# test job alongside cluster-smoke.
+# each in BATCH frames, scrapes the Prometheus endpoint, live-migrates
+# one session to a second daemon mid-stream (a frame answers MOVED and
+# is re-sent after the redial), and fails unless every session's match
+# set is bit-identical to a dedicated single-tenant daemon's fed one ADD
+# per item. Its last leg requires `sssj -server … -session` output to be
+# byte-identical to a local sssj run for self, foreign and out-of-order
+# input. Runs in CI's test job alongside cluster-smoke.
 server-smoke:
 	$(GO) build -o bin/sssjd ./cmd/sssjd
-	$(GO) run ./scripts/serversmoke -sssjd bin/sssjd
+	$(GO) build -o bin/sssj ./cmd/sssj
+	$(GO) run ./scripts/serversmoke -sssjd bin/sssjd -sssj bin/sssj
 
 # adapt-smoke is the self-tuning convergence check: the auto-selector
 # (plus online re-ranking) over the RCV1 and Tweets stream shapes must

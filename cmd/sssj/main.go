@@ -19,11 +19,13 @@
 //
 // With -server ADDR the join runs remotely: items stream through a
 // running sssjd instead of an in-process joiner, and matches come back
-// over the same connection. -session NAME creates a private session on
-// the daemon (options from -theta/-lambda/-index/-join/-lateness/
-// -workers) or attaches to it if it already exists, in which case the
-// existing session's options win; without -session the items go to the
-// daemon's default session under the daemon's own flags. -window is
+// over the same connection, in BATCH frames of up to 256 items. -session
+// NAME creates a private session on the daemon (options from -theta/
+// -lambda/-index/-join/-lateness/-workers) or attaches to it if it
+// already exists, in which case the existing session's options win —
+// its lateness too, which decides whether the client drains the
+// session's reorder stage at the end; without -session the items go to
+// the daemon's default session under the daemon's own flags. -window is
 // local-only and -framework must be STR in client mode.
 package main
 
@@ -245,35 +247,58 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// Client-mode batching: a BATCH frame carries at most batchItems items
+// and batchCoords coordinates. A coordinate encodes to at most 36 bytes
+// (a uint32 dimension, ':', a shortest-form float64, a space), so a full
+// frame stays well inside server.MaxBatchBytes.
+const (
+	batchItems  = 256
+	batchCoords = 1 << 16
+)
+
 // runClient streams the source through a sssjd session and prints the
 // matches the daemon sends back, in the same format as a local join.
 // Match IDs are the session's own stream numbering, so a fresh session
 // prints exactly what a local run over the same input would.
+//
+// Items go in BATCH frames of whatever the source has ready: a reader
+// goroutine decodes ahead, and a frame is sent once it is full or the
+// source would block, so a file streams in full frames while a live
+// pipe still gets an answer per item as it arrives.
 func runClient(addr, session, index string, opts sssj.Options, src sssj.Source, stdout, stderr io.Writer, stats, quiet bool) error {
 	c, err := server.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	if session != "" {
-		so := []string{
+	// Attach explicitly, even to the default session: the reply carries
+	// the session's own options, and its lateness — not the local flag —
+	// decides whether the reorder stage needs draining at the end.
+	var so server.SessionOptions
+	if session == "" {
+		if so, err = c.Attach(server.DefaultSession); err != nil {
+			return err
+		}
+	} else {
+		create := []string{
 			"theta=" + strconv.FormatFloat(opts.Theta, 'g', -1, 64),
 			"lambda=" + strconv.FormatFloat(opts.Lambda, 'g', -1, 64),
 			"index=" + index,
 		}
 		if opts.Join == sssj.JoinForeign {
-			so = append(so, "join=foreign")
+			create = append(create, "join=foreign")
 		}
 		if opts.Lateness > 0 {
-			so = append(so, "lateness="+strconv.FormatFloat(opts.Lateness, 'g', -1, 64))
+			create = append(create, "lateness="+strconv.FormatFloat(opts.Lateness, 'g', -1, 64))
 		}
 		if opts.Workers > 1 {
-			so = append(so, "workers="+strconv.Itoa(opts.Workers))
+			create = append(create, "workers="+strconv.Itoa(opts.Workers))
 		}
-		if err := c.Session(session, so...); err != nil {
+		if so, err = c.Attach(session, create...); err != nil {
 			// The name is taken: attach to the existing session. Its
 			// options win over the local flags.
-			if err2 := c.Session(session); err2 != nil {
+			var err2 error
+			if so, err2 = c.Attach(session); err2 != nil {
 				return err
 			}
 		}
@@ -295,39 +320,93 @@ func runClient(addr, session, index string, opts sssj.Options, src sssj.Source, 
 		return nil
 	}
 
+	type next struct {
+		it  sssj.Item
+		err error
+	}
+	// One frame's worth of read-ahead: while a frame is on the wire the
+	// reader decodes the next one, so file input goes out in full frames.
+	ready := make(chan next, batchItems)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		for {
+			it, err := src.Next()
+			select {
+			case ready <- next{it, err}:
+			case <-done:
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+
+	batch := make([]sssj.Item, 0, batchItems)
+	coords := 0
+	send := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		_, ms, err := c.AddBatch(batch)
+		batch, coords = batch[:0], 0
+		if err != nil {
+			return err
+		}
+		return emit(ms)
+	}
 	side := apss.SideA
 	lastT := math.Inf(-1)
 	sent := false
 	for {
-		it, err := src.Next()
-		if err == io.EOF {
-			break
+		var n next
+		select {
+		case n = <-ready:
+		default:
+			// The source would block: send what it has produced so far.
+			if err := send(); err != nil {
+				return err
+			}
+			n = <-ready
 		}
-		if err != nil {
-			return err
+		if n.err != nil {
+			if err := send(); err != nil {
+				return err
+			}
+			if n.err == io.EOF {
+				break
+			}
+			return n.err
 		}
+		it := n.it
 		if opts.Join == sssj.JoinForeign && it.Side != side {
+			// SIDE applies to the connection, so the pending frame goes
+			// out on the old side first.
+			if err := send(); err != nil {
+				return err
+			}
 			side = it.Side
 			if err := c.Side(side); err != nil {
 				return err
 			}
 		}
-		_, ms, err := c.Add(it.Time, it.Vec)
-		if err != nil {
-			return err
-		}
+		batch = append(batch, it)
+		coords += len(it.Vec.Dims)
 		if it.Time > lastT {
 			lastT = it.Time
 		}
 		sent = true
-		if err := emit(ms); err != nil {
-			return err
+		if len(batch) == batchItems || coords >= batchCoords {
+			if err := send(); err != nil {
+				return err
+			}
 		}
 	}
-	if opts.Lateness > 0 && sent {
+	if so.Lateness > 0 && sent {
 		// Drain the reorder stage: push the watermark past everything
 		// that could still be buffered.
-		_, ms, err := c.Watermark(lastT + opts.Lateness + 1)
+		_, ms, err := c.Watermark(lastT + so.Lateness + 1)
 		if err != nil {
 			return err
 		}

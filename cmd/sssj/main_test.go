@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"sssj"
 	"sssj/internal/apss"
@@ -228,6 +230,92 @@ func TestRunClientLateness(t *testing.T) {
 	}
 	if got := strings.TrimSpace(out.String()); got != "3" {
 		t.Fatalf("match count = %q, want 3", got)
+	}
+}
+
+// TestRunClientDrainsBySessionLateness: a local -lateness flag does not
+// make the client drain a strict session. Against the daemon's
+// lateness-0 default session, sssj -lateness 1 prints what a local
+// strict run prints, instead of failing on a WM the session refuses.
+func TestRunClientDrainsBySessionLateness(t *testing.T) {
+	addr := startDaemon(t)
+	const input = "0 1:1\n0.5 1:1\n1 1:1\n"
+	var local, remote, errw bytes.Buffer
+	if err := run([]string{"-theta", "0.7", "-lambda", "0.1"},
+		strings.NewReader(input), &local, &errw); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-theta", "0.7", "-lambda", "0.1", "-lateness", "1", "-server", addr},
+		strings.NewReader(input), &remote, &errw); err != nil {
+		t.Fatalf("client run against a strict session: %v", err)
+	}
+	if remote.String() != local.String() || local.Len() == 0 {
+		t.Fatalf("remote = %q, local = %q", remote.String(), local.String())
+	}
+}
+
+// TestRunClientDrainsAttachedLateness: attaching to an existing
+// lateness-1 session without -lateness still drains its reorder stage,
+// so the output equals a local -lateness 1 run.
+func TestRunClientDrainsAttachedLateness(t *testing.T) {
+	addr := startDaemon(t)
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Session("late", "theta=0.7", "lambda=0.1", "lateness=1"); err != nil {
+		t.Fatal(err)
+	}
+	const input = "0 1:1\n1 1:1\n0.5 1:1\n"
+	var local, remote, errw bytes.Buffer
+	if err := run([]string{"-theta", "0.7", "-lambda", "0.1", "-lateness", "1"},
+		strings.NewReader(input), &local, &errw); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-theta", "0.7", "-lambda", "0.1", "-server", addr, "-session", "late"},
+		strings.NewReader(input), &remote, &errw); err != nil {
+		t.Fatal(err)
+	}
+	if remote.String() != local.String() || strings.Count(local.String(), "\n") != 3 {
+		t.Fatalf("remote = %q, local = %q", remote.String(), local.String())
+	}
+}
+
+// TestRunClientSendsWhenSourceBlocks: an item reaches the session as
+// soon as the input stalls behind it — the client does not wait for a
+// full batch or for EOF — so a live pipe gets per-item service.
+func TestRunClientSendsWhenSourceBlocks(t *testing.T) {
+	addr := startDaemon(t)
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		var out, errw bytes.Buffer
+		done <- run([]string{"-quiet", "-server", addr, "-session", "live"}, pr, &out, &errw)
+	}()
+	if _, err := io.WriteString(pw, "0 1:1\n"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if err := c.Session("live"); err == nil {
+			if st, err := c.StatsJSON(); err == nil && st.Items == 1 {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the item never reached the session while the input stayed open")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -55,7 +55,8 @@ func shutdown(t *testing.T, done chan error) {
 }
 
 // TestCoordinatorSpawnEndToEnd: sssjc -spawn 2 serves the plain ADD
-// protocol with matches identical to a single-process engine.
+// protocol, and BATCH frames of it, with matches identical to a
+// single-process engine.
 func TestCoordinatorSpawnEndToEnd(t *testing.T) {
 	addr, done := startCoordinator(t, []string{"-spawn", "2", "-theta", "0.7", "-lambda", "0.01"})
 	c, err := server.Dial(addr)
@@ -85,13 +86,28 @@ func TestCoordinatorSpawnEndToEnd(t *testing.T) {
 			t.Fatalf("item %d: cluster %d matches, single %d", i, len(ms), len(want))
 		}
 	}
+	// The coordinator serves BATCH frames through the same server code.
+	batch := make([]stream.Item, len(vs))
+	var want []apss.Match
+	for i, v := range vs {
+		id, ts := uint64(len(vs)+i), float64(len(vs)+i)
+		batch[i] = streamItem(id, ts, v)
+		ms, err := oracle.Add(batch[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ms...)
+	}
+	if first, got, err := c.AddBatch(batch); err != nil || first != uint64(len(vs)) || len(got) != len(want) {
+		t.Fatalf("batch: first=%d err=%v, cluster %d matches, single %d", first, err, len(got), len(want))
+	}
 	// Aggregated stats flow through the hosting server.
 	counters, err := c.StatsJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counters.Items != int64(len(vs)) {
-		t.Fatalf("cluster Items = %d, want %d", counters.Items, len(vs))
+	if counters.Items != int64(2*len(vs)) {
+		t.Fatalf("cluster Items = %d, want %d", counters.Items, 2*len(vs))
 	}
 	if sz, err := c.SizeInfo(); err != nil || sz.PostingEntries+sz.Residuals == 0 {
 		t.Fatalf("cluster SizeInfo = %+v err=%v", sz, err)

@@ -33,4 +33,12 @@ func TestTypedErrors(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, "127.0.0.1:7408") || !strings.Contains(msg, "moved") {
 		t.Fatalf("MovedError text = %q", msg)
 	}
+
+	err = respError("ERR too large: line exceeds 1048576 bytes")
+	if !errors.Is(err, ErrTooLarge) || !strings.Contains(err.Error(), "line exceeds") {
+		t.Fatalf("too-large reply decodes to %v, want ErrTooLarge", err)
+	}
+	if errors.Is(respError("ERR bad timestamp \"x\""), ErrTooLarge) {
+		t.Fatal("a plain ERR decodes as ErrTooLarge")
+	}
 }

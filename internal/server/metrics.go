@@ -63,7 +63,7 @@ func (s *Server) MetricsHandler() http.Handler {
 			}
 		}
 
-		p.Family("sssj_busy_total", "counter", "Items refused with the typed BUSY backpressure reply.")
+		p.Family("sssj_busy_total", "counter", "Ingest requests (items or whole batches) refused with the typed BUSY backpressure reply.")
 		for i := range snaps {
 			p.Sample("sssj_busy_total", label(snaps[i].name), float64(snaps[i].busy))
 		}

@@ -93,7 +93,7 @@ func (s *session) serveMigrate(req ingestReq) ingestResp {
 	if err := bw.Flush(); err != nil {
 		return ingestResp{err: fmt.Errorf("migrate to %s: %w", req.migrateTo, err)}
 	}
-	resp, err := bufio.NewReader(conn).ReadString('\n')
+	resp, err := readLine(bufio.NewReader(conn))
 	if err != nil {
 		return ingestResp{err: fmt.Errorf("migrate to %s: reading acknowledgment: %w", req.migrateTo, err)}
 	}
@@ -118,36 +118,38 @@ func (s *session) serveMigrate(req ingestReq) ingestResp {
 // payload off the connection reader, restore the engine, and register
 // the session. The new session's pipeline starts before the
 // acknowledgment is written, so the source's clients can re-attach the
-// moment they see MOVED.
-func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) {
+// moment they see MOVED. It reports whether the connection must close:
+// a header or counters line that cannot be read leaves the rest of the
+// transfer on the wire.
+func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) (quit bool) {
 	fields := strings.Fields(rest)
 	if len(fields) < 5 {
 		fmt.Fprintln(w, "ERR ADOPT needs <name> <nextID> <lastT> <begun> <nbytes> [<k>=<v> ...]")
-		return
+		return true
 	}
 	name := fields[0]
 	nextID, err := strconv.ParseUint(fields[1], 10, 64)
 	if err != nil {
 		fmt.Fprintf(w, "ERR bad nextID %q\n", fields[1])
-		return
+		return true
 	}
 	lastT, err := strconv.ParseFloat(fields[2], 64)
 	if err != nil {
 		fmt.Fprintf(w, "ERR bad lastT %q\n", fields[2])
-		return
+		return true
 	}
 	begun := fields[3] == "1"
 	nbytes, err := strconv.ParseInt(fields[4], 10, 64)
 	if err != nil || nbytes < 0 {
 		fmt.Fprintf(w, "ERR bad payload length %q\n", fields[4])
-		return
+		return true
 	}
 	opts, optsErr := parseSessionOptions(optionsFor(s.cfg), fields[5:])
 
-	cline, err := r.ReadString('\n')
+	cline, err := readLine(r)
 	if err != nil {
-		fmt.Fprintln(w, "ERR ADOPT: reading counters line")
-		return
+		fmt.Fprintf(w, "ERR ADOPT: reading counters line: %v\n", err)
+		return true
 	}
 	var counters metrics.Counters
 	ctrErr := json.Unmarshal([]byte(strings.TrimSpace(cline)), &counters)
@@ -159,15 +161,15 @@ func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) {
 	var payload bytes.Buffer
 	if _, err := io.CopyN(&payload, r, nbytes); err != nil {
 		fmt.Fprintln(w, "ERR ADOPT: short payload")
-		return
+		return false
 	}
 	if optsErr != nil {
 		fmt.Fprintf(w, "ERR %v\n", optsErr)
-		return
+		return false
 	}
 	if ctrErr != nil {
 		fmt.Fprintf(w, "ERR ADOPT: bad counters line: %v\n", ctrErr)
-		return
+		return false
 	}
 
 	mk := func(se *session) error {
@@ -191,8 +193,9 @@ func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) {
 	}
 	if _, err := s.newSession(name, opts, mk); err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return false
 	}
 	s.cfg.Logf("adopted session %q (%d checkpoint bytes)", name, payload.Len())
 	fmt.Fprintf(w, "ADOPTED %s\n", name)
+	return false
 }

@@ -10,6 +10,7 @@
 //
 //	ADD <timestamp> <dim>:<val> <dim>:<val> ...
 //	ADDNOW <dim>:<val> ...        (server assigns the arrival timestamp)
+//	BATCH <n>                     (followed by n ADD/ADDNOW/PUT lines; see below)
 //	SIDE <A|B>                    (foreign join: side of subsequent ADDs)
 //	WM <timestamp>                (event-time heartbeat; bounded-lateness sessions)
 //	PUT <id> <A|B> <timestamp> <dim>:<val> ...   (cluster ingest; see below)
@@ -28,14 +29,47 @@
 //	MATCH <x> <y> <sim> <dot> <dt>   (zero or more)
 //	OK <id>                          (the item's assigned stream ID)
 //
-// or "ERR <message>" for rejected input, plus two typed replies every
+// SESSION answers "SESSION <name> <k>=<v> ..." with the attached
+// session's canonical options (SessionOptions.String), so a client
+// attaching to an existing session learns, e.g., the lateness it must
+// drain by. Errors are "ERR <message>", plus two typed replies every
 // client must know:
 //
 //	BUSY <session>   (backpressure: the session's bounded ingest queue —
 //	                 or the server's shared entry budget — refused the
-//	                 item; nothing was ingested, retry after backing off)
+//	                 item or batch; nothing was ingested, retry after
+//	                 backing off)
 //	MOVED <addr>     (the session migrated to the daemon at <addr>;
 //	                 redial there and re-attach with SESSION)
+//
+// # Batches
+//
+// BATCH <n> frames the next n lines, each an ordinary ADD, ADDNOW or PUT
+// on the connection's current side, as one request: the handler reads
+// and parses the whole frame, then submits it to the session pipeline as
+// a single queue entry, which ingests the items in order. The reply is
+// every item's MATCH lines, in item order, then one terminal line:
+//
+//	BATCHED <n> <first-id>   (all n ingested; ADD items got consecutive
+//	                         IDs from <first-id>)
+//	ERR BATCH <k> <message>  (stopped at item k: items 0..k-1 are
+//	                         ingested, exactly as k sequential ADDs would
+//	                         have left them; item k and the rest are not)
+//	BUSY <session>           (the whole batch refused, nothing ingested)
+//	MOVED <addr>             (the whole batch refused, nothing ingested)
+//
+// A line that does not parse refuses the whole batch (ERR BATCH 0)
+// before anything reaches the pipeline. Refusal is atomic: a full queue
+// or an exhausted entry budget answers one BUSY for the batch. Errors
+// inside the pipeline — an out-of-order timestamp, or an item behind the
+// watermark of a lateness > 0 session — stop it at that item.
+//
+// What a peer can make the server buffer is bounded by constants, not
+// by a length it writes: a line is at most MaxLineBytes, a batch at most
+// MaxBatchItems items and MaxBatchBytes bytes of item lines. A longer
+// line or an over-cap (or unparsable) BATCH header leaves the framing
+// unknowable, so the server answers "ERR too large: ..." (or "ERR bad
+// BATCH count ...") and closes the connection.
 //
 // # Sessions
 //
@@ -44,8 +78,8 @@
 // lateness bound, worker count, counters, and bounded ingest queue.
 // Every connection is attached to exactly one session — the "default"
 // session (built from the server's own Config) until a SESSION command
-// switches it — and all stream commands (ADD/ADDNOW/PUT/ADV/WM/STATS/
-// SIZE/MIGRATE) act on the attached session.
+// switches it — and all stream commands (ADD/ADDNOW/BATCH/PUT/ADV/WM/
+// STATS/SIZE/MIGRATE) act on the attached session.
 //
 //	SESSION <name>                attach to an existing session
 //	SESSION <name> <k>=<v> ...    create <name> with the given options
@@ -57,17 +91,17 @@
 // into that session's stream, exactly as all connections of the old
 // single-join server did; sessions never observe each other's items.
 //
-// Within a session the ingest pipeline works as before: connection
-// handlers parse concurrently and submit to one pipeline goroutine per
-// session that owns the joiner, the ID counter, and the stream clock,
-// writing each item's matches straight into the submitting connection's
-// buffer while the handler is parked on the reply. What changed is the
-// queue bound: an item submitted to a full session queue is refused
-// immediately with "BUSY <session>" instead of parking the handler, so
-// one slow consumer saturating its session cannot stall or reorder
-// other sessions. Control commands (STATS/SIZE/WM/ADV/MIGRATE) still
-// wait for a queue slot — they are rare, and their callers want the
-// answer.
+// Within a session, connection handlers parse concurrently and submit
+// to one pipeline goroutine per session that owns the joiner, the ID
+// counter, and the stream clock, writing each item's matches straight
+// into the submitting connection's buffer while the handler is parked
+// on the reply. A queue slot holds one request: a single item, a whole
+// batch, or a control command. An item or batch submitted to a full
+// session queue is refused immediately with "BUSY <session>" instead of
+// parking the handler, so one slow consumer saturating its session
+// cannot stall or reorder other sessions. Control commands (STATS/SIZE/
+// WM/ADV/MIGRATE) still wait for a queue slot — they are rare, and
+// their callers want the answer.
 //
 // # Migration
 //
@@ -177,10 +211,11 @@ type Config struct {
 	Queue int
 	// EntryBudget, when > 0, bounds the total live posting entries
 	// across all sessions — the shared-arena admission control. An item
-	// arriving while the last-sampled total is at or past the budget is
-	// refused with BUSY. The total is sampled (every sizeSampleEvery
-	// items per session), so the bound has that much slack; entries
-	// expire as each session's horizon moves, making BUSY retryable.
+	// (or batch) arriving while the last-sampled total is at or past the
+	// budget is refused with BUSY. The total is sampled (every
+	// sizeSampleEvery items per session) and checked once per batch, so
+	// the bound has that much slack plus one batch; entries expire as
+	// each session's horizon moves, making BUSY retryable.
 	EntryBudget int
 	// NewJoiner builds the default session's joiner; defaults to STR-L2
 	// (sharded across Config.Workers shards when Workers > 1).
@@ -205,6 +240,7 @@ type ingestKind int
 
 const (
 	ingestAdd ingestKind = iota
+	ingestBatch
 	ingestWM
 	ingestAdv
 	ingestStats
@@ -225,6 +261,9 @@ type ingestReq struct {
 	id         uint64
 	statsJSON  bool   // STATS JSON: render counters as a JSON line
 	migrateTo  string // MIGRATE: the peer daemon's address
+	// batch holds a BATCH frame's items, each an ingestAdd request with
+	// its own emit, served in order as one queue entry.
+	batch []ingestReq
 	// emit receives the item's matches on the pipeline goroutine, as
 	// they are found. The submitting handler is parked on reply for the
 	// duration, so writing to its connection buffer is race-free: the
@@ -235,7 +274,8 @@ type ingestReq struct {
 
 // ingestResp is the pipeline's answer.
 type ingestResp struct {
-	id    uint64
+	id    uint64 // the item's ID; a batch's first item's
+	n     int    // items of a batch ingested before it stopped
 	info  string // STATS/SIZE/MIGRATE payload
 	busy  bool   // typed backpressure: queue full or entry budget exhausted
 	moved string // session migrated; the peer's address
@@ -419,7 +459,14 @@ func (s *Server) handle(conn net.Conn) {
 	w := bufio.NewWriter(conn)
 	st := &connState{sess: s.def, side: apss.SideA}
 	for {
-		line, err := r.ReadString('\n')
+		line, err := readLine(r)
+		if errors.Is(err, ErrTooLarge) {
+			// The rest of the line is still on the wire: the framing is
+			// lost, so answer once and hang up.
+			fmt.Fprintf(w, "ERR %v\n", err)
+			w.Flush()
+			break
+		}
 		trimmed := strings.TrimSpace(line)
 		if trimmed != "" {
 			quit := s.dispatch(r, w, trimmed, st)
@@ -440,6 +487,47 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 	s.cfg.Logf("client %s disconnected", conn.RemoteAddr())
+}
+
+// Caps on what a peer can make the server buffer. They are constants,
+// not knobs: a line or batch near them is already far outside any real
+// stream item (RCV1 items have ~70 coordinates, ~2 KiB of text).
+const (
+	// MaxLineBytes bounds one protocol line, terminator included.
+	MaxLineBytes = 1 << 20
+	// MaxBatchItems bounds the item count of one BATCH frame.
+	MaxBatchItems = 4096
+	// MaxBatchBytes bounds the summed item lines of one BATCH frame.
+	MaxBatchBytes = 4 << 20
+)
+
+// ErrTooLarge is the sentinel under the "ERR too large: ..." reply: a
+// line or a BATCH frame exceeded MaxLineBytes, MaxBatchItems or
+// MaxBatchBytes. The server closes the connection after it, since the
+// rest of the oversized request is still on the wire. Client.AddBatch
+// returns it, without sending anything, for a batch over the caps.
+var ErrTooLarge = errors.New("too large")
+
+// readLine reads one '\n'-terminated line of at most MaxLineBytes (the
+// last line of a stream may lack the terminator, with err io.EOF). A
+// longer line fails with ErrTooLarge after at most MaxLineBytes plus one
+// reader buffer were read, so a peer that never sends a newline cannot
+// make the server buffer without bound.
+func readLine(r *bufio.Reader) (string, error) {
+	var long []byte
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(long)+len(frag) > MaxLineBytes {
+			return "", fmt.Errorf("%w: line exceeds %d bytes", ErrTooLarge, MaxLineBytes)
+		}
+		if err != bufio.ErrBufferFull {
+			if long == nil {
+				return string(frag), err
+			}
+			return string(append(long, frag...)), err
+		}
+		long = append(long, frag...)
+	}
 }
 
 // writeRespErr writes the error-class replies (BUSY/MOVED/ERR) for
@@ -468,17 +556,12 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *con
 		cmd, rest = line[:i], strings.TrimSpace(line[i+1:])
 	}
 	sess := st.sess
-	switch strings.ToUpper(cmd) {
-	case "ADD":
-		sess.cmdAdd(w, rest, false, st.side)
-	case "ADDNOW":
-		sess.cmdAdd(w, rest, true, st.side)
-	case "PUT":
-		if sess.reo != nil {
-			fmt.Fprintln(w, "ERR PUT requires a strict-order session (lateness 0)")
-			return false
-		}
-		sess.cmdPut(w, rest)
+	switch verb := strings.ToUpper(cmd); verb {
+	case "ADD", "ADDNOW", "PUT":
+		req, err := sess.parseItem(verb, rest, st.side)
+		sess.cmdItem(w, req, err)
+	case "BATCH":
+		return sess.cmdBatch(r, w, rest, st.side)
 	case "ADV":
 		if sess.reo != nil {
 			fmt.Fprintln(w, "ERR ADV requires a strict-order session (lateness 0); use WM")
@@ -535,7 +618,7 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *con
 		}
 		fmt.Fprintf(w, "MIGRATED %s\n", resp.info)
 	case "ADOPT":
-		s.cmdAdopt(r, w, rest)
+		return s.cmdAdopt(r, w, rest)
 	case "STATS":
 		resp := sess.submit(ingestReq{kind: ingestStats, statsJSON: strings.EqualFold(rest, "JSON")}, true)
 		if writeRespErr(w, sess, resp) {
@@ -587,63 +670,64 @@ func (s *Server) cmdSession(w *bufio.Writer, rest string, st *connState) {
 		}
 	}
 	st.sess = sess
-	fmt.Fprintf(w, "SESSION %s\n", name)
+	fmt.Fprintf(w, "SESSION %s %s\n", name, sess.opts)
 }
 
-// cmdAdd parses one item on the connection goroutine and submits it to
-// the session pipeline on the connection's current side.
-func (s *session) cmdAdd(w *bufio.Writer, rest string, stampNow bool, side apss.Side) {
+// parseItem parses one item line — verb ADD, ADDNOW or PUT, rest its
+// arguments — into an ingest request on side. It is pure: the single-
+// line commands and BATCH frames share it, and nothing reaches the
+// pipeline until it succeeds.
+func (s *session) parseItem(verb, rest string, side apss.Side) (ingestReq, error) {
+	switch verb {
+	case "ADD":
+		return parseAdd(rest, false, side)
+	case "ADDNOW":
+		return parseAdd(rest, true, side)
+	case "PUT":
+		if s.reo != nil {
+			return ingestReq{}, errors.New("PUT requires a strict-order session (lateness 0)")
+		}
+		return parsePut(rest, s.opts.Foreign)
+	}
+	return ingestReq{}, fmt.Errorf("%s is not an item command (want ADD, ADDNOW or PUT)", verb)
+}
+
+// parseAdd parses ADD's "<timestamp> <dim>:<val>..." (ADDNOW's
+// coordinates alone when stampNow) into a normalized item on side.
+func parseAdd(rest string, stampNow bool, side apss.Side) (ingestReq, error) {
 	fields := strings.Fields(rest)
-	var (
-		t     float64
-		coord []string
-		err   error
-	)
-	if stampNow {
-		coord = fields
-	} else {
+	req := ingestReq{kind: ingestAdd, stampNow: stampNow, side: side}
+	if !stampNow {
 		if len(fields) == 0 {
-			fmt.Fprintln(w, "ERR ADD needs a timestamp")
-			return
+			return ingestReq{}, errors.New("ADD needs a timestamp")
 		}
-		t, err = strconv.ParseFloat(fields[0], 64)
+		t, err := strconv.ParseFloat(fields[0], 64)
 		if err != nil {
-			fmt.Fprintf(w, "ERR bad timestamp %q\n", fields[0])
-			return
+			return ingestReq{}, fmt.Errorf("bad timestamp %q", fields[0])
 		}
-		coord = fields[1:]
+		req.t, fields = t, fields[1:]
 	}
-	v, err := parseCoords(coord)
+	v, err := parseCoords(fields)
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return ingestReq{}, err
 	}
-	// Matches are written straight into the connection buffer by the
-	// pipeline goroutine while this handler waits on the reply — no
-	// match slice is built anywhere. Write errors are latched (not
-	// returned to the joiner, whose processing must not depend on a
-	// client's socket) and surface at the Flush in handle.
-	resp := s.submit(ingestReq{kind: ingestAdd, t: t, stampNow: stampNow, side: side, v: v, emit: matchEmitter(w, false)}, false)
-	if writeRespErr(w, s, resp) {
-		return
-	}
-	fmt.Fprintf(w, "OK %d\n", resp.id)
+	req.v = v
+	return req, nil
 }
 
-// cmdPut parses and submits a cluster PUT: explicit stream ID, explicit
-// side, and coordinates taken verbatim (no re-normalization — the
-// coordinator sends an already-normalized vector, and %g round-trips
-// float64 exactly). Matches stream back at full precision.
-func (s *session) cmdPut(w *bufio.Writer, rest string) {
+// parsePut parses a cluster PUT's "<id> <A|B> <timestamp> <dim>:<val>...":
+// explicit stream ID, explicit side, and coordinates taken verbatim (no
+// re-normalization — the coordinator sends an already-normalized
+// vector, and %g round-trips float64 exactly). Side B needs a foreign
+// session.
+func parsePut(rest string, foreign bool) (ingestReq, error) {
 	fields := strings.Fields(rest)
 	if len(fields) < 3 {
-		fmt.Fprintln(w, "ERR PUT needs <id> <A|B> <timestamp> <dim>:<val>...")
-		return
+		return ingestReq{}, errors.New("PUT needs <id> <A|B> <timestamp> <dim>:<val>...")
 	}
 	id, err := strconv.ParseUint(fields[0], 10, 64)
 	if err != nil {
-		fmt.Fprintf(w, "ERR bad id %q\n", fields[0])
-		return
+		return ingestReq{}, fmt.Errorf("bad id %q", fields[0])
 	}
 	var side apss.Side
 	switch strings.ToUpper(fields[1]) {
@@ -652,24 +736,33 @@ func (s *session) cmdPut(w *bufio.Writer, rest string) {
 	case "B":
 		side = apss.SideB
 	default:
-		fmt.Fprintf(w, "ERR bad side %q, want A or B\n", fields[1])
-		return
+		return ingestReq{}, fmt.Errorf("bad side %q, want A or B", fields[1])
 	}
-	if side == apss.SideB && !s.opts.Foreign {
-		fmt.Fprintln(w, "ERR side B requires a foreign-join session")
-		return
+	if side == apss.SideB && !foreign {
+		return ingestReq{}, errors.New("side B requires a foreign-join session")
 	}
 	t, err := strconv.ParseFloat(fields[2], 64)
 	if err != nil {
-		fmt.Fprintf(w, "ERR bad timestamp %q\n", fields[2])
-		return
+		return ingestReq{}, fmt.Errorf("bad timestamp %q", fields[2])
 	}
 	v, err := parseCoordsRaw(fields[3:])
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+		return ingestReq{}, err
+	}
+	return ingestReq{kind: ingestAdd, t: t, side: side, v: v, explicitID: true, id: id}, nil
+}
+
+// cmdItem submits one parsed item (parse error perr, if any, is the
+// reply instead). Matches are written straight into the connection
+// buffer by the pipeline goroutine while this handler waits on the
+// reply — no match slice is built anywhere — at full precision for PUT.
+func (s *session) cmdItem(w *bufio.Writer, req ingestReq, perr error) {
+	if perr != nil {
+		fmt.Fprintf(w, "ERR %v\n", perr)
 		return
 	}
-	resp := s.submit(ingestReq{kind: ingestAdd, t: t, side: side, v: v, explicitID: true, id: id, emit: matchEmitter(w, true)}, false)
+	req.emit = matchEmitter(w, req.explicitID)
+	resp := s.submit(req, false)
 	if writeRespErr(w, s, resp) {
 		return
 	}
@@ -759,6 +852,8 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 	mu   sync.Mutex
+	// buf is the reused request encoding buffer. Callers hold mu.
+	buf []byte
 	// ioTimeout bounds each request round-trip; 0 means no deadline.
 	ioTimeout time.Duration
 }
@@ -827,10 +922,12 @@ func (c *Client) beginRequest() {
 }
 
 // respError decodes the protocol's error-class replies — ERR text,
-// typed BUSY backpressure, typed MOVED redirects — or returns nil when
-// resp is not one.
+// typed BUSY backpressure, typed MOVED redirects, typed ErrTooLarge —
+// or returns nil when resp is not one.
 func respError(resp string) error {
 	switch {
+	case strings.HasPrefix(resp, "ERR too large: "):
+		return fmt.Errorf("%w: %s", ErrTooLarge, resp[len("ERR too large: "):])
 	case strings.HasPrefix(resp, "ERR "):
 		return errors.New(resp[4:])
 	case strings.HasPrefix(resp, "BUSY "):
@@ -845,19 +942,33 @@ func respError(resp string) error {
 // A full session queue surfaces as a *BusyError (errors.Is ErrBusy); a
 // migrated session as a *MovedError (errors.Is ErrMoved).
 func (c *Client) Add(t float64, v vec.Vector) (uint64, []apss.Match, error) {
-	return c.add(fmt.Sprintf("ADD %g %s", t, formatCoords(v)))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.buf = appendAdd(c.buf[:0], t, v)
+	return c.add()
 }
 
 // AddNow submits an item stamped with the server's clock.
 func (c *Client) AddNow(v vec.Vector) (uint64, []apss.Match, error) {
-	return c.add("ADDNOW " + formatCoords(v))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.buf = appendCoords(append(c.buf[:0], "ADDNOW "...), v)
+	c.buf = append(c.buf, '\n')
+	return c.add()
 }
 
 // Put submits an item with a caller-assigned stream ID, side, and
 // verbatim (pre-normalized) coordinates — the cluster coordinator's
 // ingest path. Matches come back at full float64 precision.
 func (c *Client) Put(id uint64, side apss.Side, t float64, v vec.Vector) ([]apss.Match, error) {
-	gotID, matches, err := c.add(fmt.Sprintf("PUT %d %v %s %s", id, side, strconv.FormatFloat(t, 'g', -1, 64), formatCoords(v)))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.buf = strconv.AppendUint(append(c.buf[:0], "PUT "...), id, 10)
+	c.buf = append(append(append(c.buf, ' '), side.String()...), ' ')
+	c.buf = strconv.AppendFloat(c.buf, t, 'g', -1, 64)
+	c.buf = appendCoords(append(c.buf, ' '), v)
+	c.buf = append(c.buf, '\n')
+	gotID, matches, err := c.add()
 	if err != nil {
 		return nil, err
 	}
@@ -901,11 +1012,11 @@ func (c *Client) Advance(t float64) ([]apss.Match, error) {
 	}
 }
 
-func (c *Client) add(line string) (uint64, []apss.Match, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// add sends the item request encoded in c.buf and reads its matches and
+// OK line. Callers hold c.mu.
+func (c *Client) add() (uint64, []apss.Match, error) {
 	c.beginRequest()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return 0, nil, err
 	}
 	var matches []apss.Match
@@ -1025,12 +1136,27 @@ func (c *Client) Side(side apss.Side) error {
 // workers=4, queue=128, shard=0/2 — the session is created (an error if
 // the name is taken) and the connection attached to it.
 func (c *Client) Session(name string, opts ...string) error {
+	_, err := c.Attach(name, opts...)
+	return err
+}
+
+// Attach is Session that also returns the attached session's canonical
+// options as the server echoes them — for an existing session, the
+// options it was created with, whatever the caller would have chosen.
+func (c *Client) Attach(name string, opts ...string) (SessionOptions, error) {
 	cmd := "SESSION " + name
 	if len(opts) > 0 {
 		cmd += " " + strings.Join(opts, " ")
 	}
-	_, err := c.simple(cmd, "SESSION "+name)
-	return err
+	payload, err := c.simple(cmd, "SESSION "+name+" ")
+	if err != nil {
+		return SessionOptions{}, err
+	}
+	so, err := parseSessionOptions(SessionOptions{}, strings.Fields(payload))
+	if err != nil {
+		return SessionOptions{}, fmt.Errorf("server: bad SESSION options %q: %w", payload, err)
+	}
+	return so, nil
 }
 
 // Sessions lists the server's session names, sorted.
@@ -1120,14 +1246,24 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// formatCoords renders a vector in the protocol's dim:val form.
-func formatCoords(v vec.Vector) string {
-	var sb strings.Builder
-	for i := range v.Dims {
+// appendCoords appends v in the protocol's dim:val form — what
+// "%d:%g" gives per coordinate, space-separated — without fmt.
+func appendCoords(buf []byte, v vec.Vector) []byte {
+	for i, d := range v.Dims {
 		if i > 0 {
-			sb.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
-		fmt.Fprintf(&sb, "%d:%g", v.Dims[i], v.Vals[i])
+		buf = strconv.AppendUint(buf, uint64(d), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendFloat(buf, v.Vals[i], 'g', -1, 64)
 	}
-	return sb.String()
+	return buf
+}
+
+// appendAdd appends one "ADD <t> <dim>:<val>...\n" request line — the
+// encoding shared by Add and AddBatch.
+func appendAdd(buf []byte, t float64, v vec.Vector) []byte {
+	buf = strconv.AppendFloat(append(buf, "ADD "...), t, 'g', -1, 64)
+	buf = appendCoords(append(buf, ' '), v)
+	return append(buf, '\n')
 }

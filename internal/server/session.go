@@ -381,18 +381,22 @@ func (s *session) run() {
 	items := 0
 	for req := range s.reqs {
 		resp := s.serve(req)
+		n := len(req.batch) // items the request carried; 0 for control requests
 		if req.kind == ingestAdd {
-			items++
+			n = 1
 		}
-		s.publish(req.kind != ingestAdd || items%sizeSampleEvery == 0)
+		// Control requests always refresh the size sample; ingest does so
+		// each time the item count crosses a multiple of sizeSampleEvery.
+		s.publish(n == 0 || (items+n)/sizeSampleEvery != items/sizeSampleEvery)
+		items += n
 		req.reply <- resp
 	}
 }
 
 // submit routes one request into the session queue. When wait is false
-// (item ingest) a full queue is refused immediately with errBusy — the
-// typed backpressure contract — instead of parking the handler; control
-// requests wait, bounded by server shutdown.
+// (item or batch ingest) a full queue is refused immediately with
+// errBusy — the typed backpressure contract — instead of parking the
+// handler; control requests wait, bounded by server shutdown.
 func (s *session) submit(req ingestReq, wait bool) ingestResp {
 	req.reply = make(chan ingestResp, 1)
 	if wait {
@@ -464,9 +468,18 @@ func (s *session) serve(req ingestReq) ingestResp {
 		// The shared index budget is exhausted: refuse the item with the
 		// same typed, retryable reply as a full queue. Entries expire as
 		// the horizon moves, so BUSY is a backpressure signal here too.
+		// A batch is admitted or refused whole.
 		s.busy.Add(1)
 		return ingestResp{busy: true}
 	}
+	if req.kind == ingestBatch {
+		return s.serveBatch(req.batch)
+	}
+	return s.observeAdd(req)
+}
+
+// observeAdd ingests one item, timing it into the ingest histogram.
+func (s *session) observeAdd(req ingestReq) ingestResp {
 	start := time.Now()
 	resp := s.serveAdd(req)
 	s.hist.Observe(float64(time.Since(start)))

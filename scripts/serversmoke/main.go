@@ -2,16 +2,22 @@
 // behind `make server-smoke`: it boots one sssjd daemon with the
 // Prometheus endpoint enabled, creates three sessions with different
 // thresholds and join modes, streams a deterministic workload through
-// each, scrapes /metrics, live-migrates one session to a second daemon
-// mid-stream, and requires every session's match set to equal — bit for
-// bit — what a dedicated single-tenant daemon reports for the same
-// stream. This is the deployment-shape check the in-process tests
-// cannot give: separate address spaces, real TCP, real process
-// lifecycle, a real HTTP scrape.
+// each in BATCH frames, scrapes /metrics, live-migrates one session to a
+// second daemon mid-stream (the first frame after the cut answers MOVED
+// and is re-sent to the new daemon), and requires every session's match
+// set to equal — bit for bit — what a dedicated single-tenant daemon
+// reports for the same stream fed one ADD at a time. A last leg runs the
+// sssj command in client mode (-server … -session) over self-join,
+// foreign and out-of-order input and requires its output to be
+// byte-identical to a local sssj run. This is the deployment-shape check
+// the in-process tests cannot give: separate address spaces, real TCP,
+// real process lifecycle, a real HTTP scrape.
 package main
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +25,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -65,11 +72,16 @@ var tenants = []tenant{
 // migrateTenant is the session handed to the second daemon mid-stream.
 const migrateTenant = "l2-high"
 
+// frame is the BATCH size tenants stream in; the single-tenant
+// references stream one ADD per item instead.
+const frame = 16
+
 func main() {
 	sssjd := flag.String("sssjd", "bin/sssjd", "path to the sssjd binary")
+	sssj := flag.String("sssj", "bin/sssj", "path to the sssj binary (client-mode leg)")
 	n := flag.Int("n", 200, "items per tenant stream")
 	flag.Parse()
-	if err := runSmoke(*sssjd, *n); err != nil {
+	if err := runSmoke(*sssjd, *sssj, *n); err != nil {
 		fmt.Fprintf(os.Stderr, "server-smoke: %v\n", err)
 		os.Exit(1)
 	}
@@ -193,30 +205,43 @@ func dial(addr string) (*server.Client, error) {
 	return server.Dialer{DialTimeout: 2 * time.Second, IOTimeout: 30 * time.Second, Retries: 5}.Dial(addr)
 }
 
-// feed streams items[from:to] on an already-attached connection and
-// returns the reported matches. Under the foreign join, odd positions
-// go to stream B; side is the connection's current side, carried across
-// calls so a resumed feed re-establishes it after reconnecting.
-func feed(c *server.Client, items []stream.Item, from, to int, foreign bool, side *apss.Side) ([]apss.Match, error) {
-	var all []apss.Match
-	for i := from; i < to; i++ {
-		if foreign {
-			want := apss.SideA
-			if i%2 == 1 {
-				want = apss.SideB
-			}
-			if want != *side {
-				if err := c.Side(want); err != nil {
-					return nil, err
-				}
-				*side = want
-			}
+// feed streams items[from:to] on an already-attached connection in
+// BATCH frames of up to size items (size 1: one ADD per item) and
+// returns the reported matches. Under the foreign join, odd positions go
+// to stream B, and a frame ends wherever the side switches; side is the
+// connection's current side, carried across calls so a resumed feed
+// re-establishes it after reconnecting.
+func feed(c *server.Client, items []stream.Item, from, to int, foreign bool, side *apss.Side, size int) ([]apss.Match, error) {
+	sideOf := func(i int) apss.Side {
+		if foreign && i%2 == 1 {
+			return apss.SideB
 		}
-		_, ms, err := c.Add(items[i].Time, items[i].Vec)
+		return apss.SideA
+	}
+	var all []apss.Match
+	for i := from; i < to; {
+		if want := sideOf(i); foreign && want != *side {
+			if err := c.Side(want); err != nil {
+				return nil, err
+			}
+			*side = want
+		}
+		j := i + 1
+		for j < to && j-i < size && sideOf(j) == *side {
+			j++
+		}
+		var ms []apss.Match
+		var err error
+		if size == 1 {
+			_, ms, err = c.Add(items[i].Time, items[i].Vec)
+		} else {
+			_, ms, err = c.AddBatch(items[i:j])
+		}
 		if err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, err)
+			return nil, fmt.Errorf("items %d..%d: %w", i, j-1, err)
 		}
 		all = append(all, ms...)
+		i = j
 	}
 	return all, nil
 }
@@ -254,8 +279,9 @@ func scrape(metricsAddr string, halfway map[string]int) error {
 }
 
 // runSmoke is the whole scenario: one multi-tenant daemon + one
-// migration target + one single-tenant reference daemon per session.
-func runSmoke(sssjd string, n int) error {
+// migration target + one single-tenant reference daemon per session,
+// then the client-mode leg against the multi-tenant daemon.
+func runSmoke(sssjd, sssj string, n int) error {
 	var procs []*proc
 	defer func() {
 		for _, p := range procs {
@@ -303,7 +329,7 @@ func runSmoke(sssjd string, n int) error {
 	half := n / 2
 	halfway := map[string]int{}
 	for _, tn := range tenants {
-		ms, err := feed(conns[tn.name], streams[tn.name], 0, half, tn.foreign, sides[tn.name])
+		ms, err := feed(conns[tn.name], streams[tn.name], 0, half, tn.foreign, sides[tn.name], frame)
 		if err != nil {
 			return fmt.Errorf("%s first half: %w", tn.name, err)
 		}
@@ -323,8 +349,15 @@ func runSmoke(sssjd string, n int) error {
 	if err := conns[migrateTenant].Migrate(target.addr); err != nil {
 		return fmt.Errorf("MIGRATE %s: %w", migrateTenant, err)
 	}
+	// The next frame on the old connection is refused whole with MOVED;
+	// the redial below re-sends it to the new daemon, and the item count
+	// checked after the second half proves none of it landed twice.
+	var moved *server.MovedError
+	if _, err := feed(conns[migrateTenant], streams[migrateTenant], half, min(half+frame, n), false, sides[migrateTenant], frame); !errors.As(err, &moved) || moved.Addr != target.addr {
+		return fmt.Errorf("frame after MIGRATE: err=%v, want MOVED %s", err, target.addr)
+	}
 	conns[migrateTenant].Close()
-	mc, err := dial(target.addr)
+	mc, err := dial(moved.Addr)
 	if err != nil {
 		return err
 	}
@@ -342,7 +375,7 @@ func runSmoke(sssjd string, n int) error {
 			side := apss.SideA
 			sides[tn.name] = &side
 		}
-		ms, err := feed(conns[tn.name], streams[tn.name], half, n, foreign, sides[tn.name])
+		ms, err := feed(conns[tn.name], streams[tn.name], half, n, foreign, sides[tn.name], frame)
 		if err != nil {
 			return fmt.Errorf("%s second half: %w", tn.name, err)
 		}
@@ -369,7 +402,7 @@ func runSmoke(sssjd string, n int) error {
 			return err
 		}
 		side := apss.SideA
-		want, err := feed(rc, streams[tn.name], 0, n, tn.foreign, &side)
+		want, err := feed(rc, streams[tn.name], 0, n, tn.foreign, &side, 1)
 		rc.Close()
 		if err != nil {
 			return fmt.Errorf("%s reference stream: %w", tn.name, err)
@@ -389,11 +422,92 @@ func runSmoke(sssjd string, n int) error {
 		c.Close()
 	}
 	conns = map[string]*server.Client{}
+	if err := clientLeg(sssj, shared.addr, n); err != nil {
+		return fmt.Errorf("client mode: %w", err)
+	}
 	for _, p := range procs {
 		if err := p.stop(); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
 	}
 	procs = nil
+	return nil
+}
+
+// clientLeg runs the sssj command in client mode against the daemon at
+// addr — each input into a fresh session — and requires its output to
+// be byte-identical to a local sssj run over the same files, for a
+// self-join, a foreign join and an out-of-order stream under -lateness.
+func clientLeg(sssj, addr string, n int) error {
+	dir, err := os.MkdirTemp("", "serversmoke")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	write := func(name string, items []stream.Item) (string, error) {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			return "", err
+		}
+		if err := stream.WriteText(f, items); err != nil {
+			f.Close()
+			return "", err
+		}
+		return path, f.Close()
+	}
+	items := genItems(21, n)
+	var sideA, sideB []stream.Item
+	for i, it := range items {
+		if i%2 == 0 {
+			sideA = append(sideA, it)
+		} else {
+			sideB = append(sideB, it)
+		}
+	}
+	self, err := write("self.txt", items)
+	if err != nil {
+		return err
+	}
+	a, err := write("a.txt", sideA)
+	if err != nil {
+		return err
+	}
+	b, err := write("b.txt", sideB)
+	if err != nil {
+		return err
+	}
+	late, err := write("late.txt", stream.ShuffleWithin(items, 0.9, 3))
+	if err != nil {
+		return err
+	}
+	base := []string{"-theta", "0.6", "-lambda", "0.05"}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"cli-self", []string{"-input", self}},
+		{"cli-foreign", []string{"-join", "foreign", "-input", a, "-inputB", b}},
+		{"cli-late", []string{"-lateness", "1", "-input", late}},
+	} {
+		args := append(append([]string(nil), base...), tc.args...)
+		local, err := exec.Command(sssj, args...).Output()
+		if err != nil {
+			return fmt.Errorf("%s local run: %w", tc.name, err)
+		}
+		remote, err := exec.Command(sssj, append(args, "-server", addr, "-session", tc.name)...).Output()
+		if err != nil {
+			return fmt.Errorf("%s client run: %w", tc.name, err)
+		}
+		if len(local) == 0 {
+			return fmt.Errorf("%s: local run found no matches; leg vacuous", tc.name)
+		}
+		if !bytes.Equal(local, remote) {
+			return fmt.Errorf("%s: client-mode output (%d bytes) differs from the local run (%d bytes)",
+				tc.name, len(remote), len(local))
+		}
+		fmt.Printf("server-smoke: %s OK (sssj -server output ≡ local run, %d lines)\n",
+			tc.name, bytes.Count(local, []byte("\n")))
+	}
 	return nil
 }

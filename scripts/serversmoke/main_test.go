@@ -14,20 +14,22 @@ import (
 	"sssj/internal/server"
 )
 
-// TestRunSmokeEndToEnd builds the real sssjd binary and runs the whole
-// smoke scenario — 3 tenant sessions, the /metrics scrape, and the
-// mid-stream migration — exactly as `make server-smoke` does, on a
-// reduced stream.
+// TestRunSmokeEndToEnd builds the real sssjd and sssj binaries and runs
+// the whole smoke scenario — 3 tenant sessions, the /metrics scrape, the
+// mid-stream migration, and the client-mode leg — exactly as `make
+// server-smoke` does, on a reduced stream.
 func TestRunSmokeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots real daemon processes")
 	}
-	bin := t.TempDir() + "/sssjd"
-	build := exec.Command("go", "build", "-o", bin, "sssj/cmd/sssjd")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	dir := t.TempDir()
+	for _, cmd := range []string{"sssjd", "sssj"} {
+		build := exec.Command("go", "build", "-o", dir+"/"+cmd, "sssj/cmd/"+cmd)
+		if out, err := build.CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", cmd, err, out)
+		}
 	}
-	if err := runSmoke(bin, 80); err != nil {
+	if err := runSmoke(dir+"/sssjd", dir+"/sssj", 80); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,9 +55,9 @@ func TestGenItems(t *testing.T) {
 	}
 }
 
-// TestFeedAgainstLiveServer drives feed (sided and unsided) against an
-// in-process server, checking the carried side state across a resumed
-// feed — the exact shape the migration path uses.
+// TestFeedAgainstLiveServer drives feed (sided and unsided, in frames and
+// per item) against an in-process server, checking the carried side
+// state across a resumed feed — the exact shape the migration path uses.
 func TestFeedAgainstLiveServer(t *testing.T) {
 	for _, foreign := range []bool{false, true} {
 		srv, err := server.New(server.Config{
@@ -77,11 +79,11 @@ func TestFeedAgainstLiveServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		side := apss.SideA
-		first, err := feed(c, items, 0, 20, foreign, &side)
+		first, err := feed(c, items, 0, 20, foreign, &side, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest, err := feed(c, items, 20, 40, foreign, &side)
+		rest, err := feed(c, items, 20, 40, foreign, &side, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +107,7 @@ func TestFeedAgainstLiveServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		side2 := apss.SideA
-		want, err := feed(c2, items, 0, 40, foreign, &side2)
+		want, err := feed(c2, items, 0, 40, foreign, &side2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +144,7 @@ func TestScrape(t *testing.T) {
 	}
 	items := genItems(3, 5)
 	side := apss.SideA
-	if _, err := feed(c, items, 0, 5, false, &side); err != nil {
+	if _, err := feed(c, items, 0, 5, false, &side, frame); err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.MetricsHandler())

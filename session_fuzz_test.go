@@ -1,17 +1,19 @@
 package sssj
 
 import (
+	"errors"
 	"net"
 	"testing"
 
 	"sssj/internal/apss"
 	"sssj/internal/server"
+	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
 
 // FuzzSessionProtocol drives a live multi-tenant server with random
-// interleavings of SESSION / ADD / STATS / SESSIONS / SIZE across
-// several connections. The fuzz bytes decode to (connection, op, arg)
+// interleavings of SESSION / ADD / BATCH / STATS / SESSIONS / SIZE
+// across several connections. The fuzz bytes decode to (connection, op, arg)
 // triples; the oracle is per-session accounting: whatever the
 // interleaving, the server must never panic, never desynchronize a
 // connection, and every session's final item count must equal exactly
@@ -23,6 +25,16 @@ func FuzzSessionProtocol(f *testing.F) {
 	f.Add([]byte("\x00\x00\x04\x00\x01\x10\x00\x01\x20\x00\x02\x00"))
 	f.Add([]byte("\x00\x00\x00\x01\x00\x05\x00\x01\x08\x01\x01\x09\x02\x01\x07\x00\x03\x00\x01\x02\x00"))
 	f.Add([]byte("\x01\x00\x03\x01\x01\x40\x01\x04\x00\x02\x00\x03\x02\x01\x41\x01\x02\x00\x00\x03\x00"))
+	// BATCH mixed with ADD on one connection; a batch at the cap and one
+	// past it (refused by the client, nothing ingested).
+	f.Add([]byte("\x00\x00\x05\x00\x05\x07\x00\x01\x10\x00\x05\x11\x01\x05\x03\x00\x02\x00"))
+	f.Add([]byte("\x00\x05\xff\x00\x01\x08\x00\x05\xf8\x00\x05\x02\x00\x02\x00"))
+	item := func(arg byte) vec.Vector {
+		return vec.MustNew(
+			[]uint32{uint32(arg % 8), uint32(arg%8) + 1},
+			[]float64{1, 0.1 + float64(arg)/255},
+		).Normalize()
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv, err := server.New(server.Config{Params: apss.Params{Theta: 0.7, Lambda: 0.1}})
 		if err != nil {
@@ -64,7 +76,7 @@ func FuzzSessionProtocol(f *testing.F) {
 
 		for i := 0; i+2 < len(data); i += 3 {
 			ci := int(data[i]) % nconn
-			op := data[i+1] % 5
+			op := data[i+1] % 6
 			arg := data[i+2]
 			c := dial(ci)
 			switch op {
@@ -88,11 +100,7 @@ func FuzzSessionProtocol(f *testing.F) {
 			case 1: // add an item on the attached session
 				name := attached[ci]
 				clock[name] += float64(arg) / 64
-				v := vec.MustNew(
-					[]uint32{uint32(arg % 8), uint32(arg%8) + 1},
-					[]float64{1, 0.1 + float64(arg)/255},
-				).Normalize()
-				if _, _, err := c.Add(clock[name], v); err != nil {
+				if _, _, err := c.Add(clock[name], item(arg)); err != nil {
 					// The test clock never goes backwards, so every add is
 					// admissible — an error here is a protocol break.
 					t.Fatalf("add on %q at t=%v: %v", name, clock[name], err)
@@ -110,6 +118,35 @@ func FuzzSessionProtocol(f *testing.F) {
 				if _, err := c.Size(); err != nil {
 					t.Fatalf("size on %q: %v", attached[ci], err)
 				}
+			case 5: // a BATCH on the attached session: small, at the cap, or past it
+				name := attached[ci]
+				n := 1 + int(arg)%24
+				switch {
+				case arg == 255: // the costliest op by far (~0.1 s), so the rarest
+					n = server.MaxBatchItems
+				case arg >= 248:
+					n = server.MaxBatchItems + 1
+				}
+				items := make([]stream.Item, n)
+				t0 := clock[name]
+				for k := range items {
+					t0 += float64((int(arg)+k)%16) / 64
+					items[k] = stream.Item{Time: t0, Vec: item(arg + byte(k))}
+				}
+				_, _, err := c.AddBatch(items)
+				if n > server.MaxBatchItems {
+					// Refused before sending: nothing ingested, and the
+					// connection stays in step.
+					if !errors.Is(err, server.ErrTooLarge) {
+						t.Fatalf("over-cap batch on %q: err=%v, want ErrTooLarge", name, err)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatalf("batch of %d on %q: %v", n, name, err)
+				}
+				clock[name] = t0
+				accepted[name] += n
 			}
 		}
 
